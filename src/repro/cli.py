@@ -28,7 +28,7 @@ event trace of the client connection (``race`` writes one file per
 scheme, suffixing the scheme name).
 
 Population commands accept ``--workers N`` to fan independent sessions
-out over a process pool (0 = ``os.cpu_count()``); results are
+out over forked worker processes (0 = ``os.cpu_count()``); results are
 bit-identical to ``--workers 1``.
 """
 
@@ -72,7 +72,7 @@ def _standard_paths(args) -> List[PathSpec]:
 def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=0, metavar="N",
-        help="process-pool fan-out for independent sessions "
+        help="worker processes for independent sessions "
              "(0 = all cores, 1 = in-process; default: all cores)")
 
 
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="every user plays every scheme (default: "
                             "split population, one scheme per user)")
     fleet.add_argument("--shard-size", type=int, default=64,
-                       help="sessions reduced per pool task (default 64)")
+                       help="sessions reduced per worker task (default 64)")
     fleet.add_argument("--timeout", type=float, default=30.0)
     fleet.add_argument("--seed", type=int, default=0)
     fleet.add_argument("--permutation-rounds", type=int, default=200,
@@ -525,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="S",
                        help="per-shard wall-clock deadline; a worker "
                             "past it is killed and the shard retried "
-                            "(pool mode only; default: none)")
+                            "(forked workers only; default: none)")
     fleet.add_argument("--checkpoint-dir", metavar="DIR", default=None,
                        help="run as a day-checkpointed campaign, "
                             "writing DIR/campaign.json after each day")

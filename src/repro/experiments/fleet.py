@@ -11,7 +11,7 @@ protocol:
   :class:`~repro.experiments.parallel.SessionTask`, each carrying its
   fully-derived seed;
 - the **shard executor** -- :func:`repro.experiments.parallel.run_fleet`
-  slices the stream into shards, runs each in a pool worker, and each
+  slices the stream into shards, runs each in a forked worker, and each
   worker reduces its slice into one
   :class:`~repro.metrics.sink.MetricSink` locally;
 - the **sink reducer** -- shard sinks merge (associatively,
@@ -208,7 +208,7 @@ def sweep_scheme_config(base_scheme: str, name: str, **changes):
     """A dynamically-derived scheme config for population sweeps.
 
     Returns a :class:`SchemeConfig` clone that task generators attach
-    to every task (``scheme_config``), so pool workers can register it
+    to every task (``scheme_config``), so workers can register it
     on arrival -- the same mechanism the threshold sweep uses.
     """
     return replace(SCHEMES[base_scheme], name=name, **changes)

@@ -90,11 +90,11 @@ def run_fleet_chaos(config: Optional[FleetChaosConfig] = None
     result = FleetChaosResult()
     if not _fork_available():  # pragma: no cover - non-fork platforms
         result.record("fork", False,
-                      "platform cannot fork; pool supervision untestable")
+                      "platform cannot fork; worker supervision untestable")
         return result
     cfg = _fleet_cfg(config)
 
-    # Fault-free reference (pool mode, so the comparison also guards
+    # Fault-free reference (forked workers, so the comparison also guards
     # serial-vs-supervised digest identity via the existing tests).
     clean = run_fleet_driver(ABPopulationDriver(cfg),
                              workers=config.workers,

@@ -96,11 +96,11 @@ def run_scheme_on_trace(pair: dict, scheme: str, seed: int = 0,
                         cc: Optional[str] = None) -> List[float]:
     """Per-chunk download times for one scheme over one trace pair.
 
-    Module-level (and all-plain-data) so :func:`fan_out` can ship it to
-    a worker process.  ``cc`` overrides the scheme's congestion
-    controller; the variant is registered *here*, inside the worker,
-    because plain ``fan_out`` does not ship scheme configs.  The MPTCP
-    baseline keeps its own fixed controller.
+    One :func:`fan_out` job: a forked worker inherits the arguments and
+    sends back only the returned list.  ``cc`` overrides the scheme's
+    congestion controller; the variant is registered *here*, in
+    whichever process runs the replay, so the job carries no scheme
+    config.  The MPTCP baseline keeps its own fixed controller.
     """
     paths = _paths_for_trace(pair)
     if scheme == "sp":
@@ -240,9 +240,10 @@ def run_fig13(n_traces: int = 10, duration_s: float = 30.0,
               workers: Optional[int] = None) -> List[MobilityResult]:
     """The full Fig. 13 sweep over the trace catalog.
 
-    Fans the flat (trace, scheme) replay grid out over ``workers``
-    processes; each replay is independent, so the sweep parallelizes
-    to ``n_traces * len(schemes)`` tasks.
+    Runs the flat (trace, scheme) replay grid through :func:`fan_out`
+    on ``workers`` forked workers (a lost worker's chunk is retried);
+    each replay is independent, so the sweep parallelizes to
+    ``n_traces * len(schemes)`` tasks.
     """
     pairs = extreme_mobility_trace_pairs(duration_s)[:n_traces]
     jobs = [{"pair": pair, "scheme": scheme, "seed": seed}

@@ -1,4 +1,4 @@
-"""Parallel experiment fan-out.
+"""One supervised executor for every parallel experiment.
 
 Every experiment in this repository decomposes into *independent*
 discrete-event sessions: each one builds its own :class:`EventLoop`,
@@ -8,72 +8,34 @@ Fig. 11 A/B day, threshold sweeps, mobility replays, path experiments)
 embarrassingly parallel -- the same reason Mahimahi-style emulation
 farms run one shell per experiment.
 
-Two layers:
+All of them run through one supervision loop, :func:`_supervise`.
+Work arrives as *chunks* (lists of items), and each use supplies a
+**chunk body** that runs inside the worker and a **fold** that
+validates and merges its payload in the parent.  With ``workers > 1``
+every chunk attempt is its own forked process with a one-shot result
+pipe, so a dying worker costs one retried chunk, not the run; with
+``workers=1`` the same loop launches attempts in-process.
 
-- :func:`fan_out` -- ordered process-pool map of any *module-level*
-  callable over a list of kwargs dicts.  Results come back in
-  submission order regardless of which worker finished first, so a
-  parallel run is **bit-identical** to the serial loop it replaces.
-- :class:`SessionTask` / :func:`run_session_tasks` -- a picklable
-  description of one video-session or bulk-download simulation plus a
-  worker entry point that strips the (unpicklable) live objects out of
-  :class:`~repro.experiments.harness.SessionResult`, returning only the
-  plain-data :class:`SessionOutcome`.
+- :func:`fan_out` -- an ordered map of any callable over a list of
+  kwargs dicts: the fold stores each chunk's results by chunk index,
+  so a parallel run is **bit-identical** to the serial loop it
+  replaces.  :func:`run_session_tasks` maps it over
+  :class:`SessionTask` specs, returning plain-data
+  :class:`SessionOutcome` records instead of live ``SessionResult``
+  objects.
+- :func:`run_fleet` -- the reduce-style fleet tier.  At 10K users one
+  pickled result per session is exactly wrong, so
+  :func:`execute_shard` folds a slice of tasks into one
+  :class:`~repro.metrics.sink.MetricSink` inside the worker and only
+  the O(buckets) :class:`ShardResult` crosses back.  Sink merge is
+  associative, commutative and exactly order-independent, so a sharded
+  or retried run's merged digest is **identical** to the serial run's.
 
-Determinism contract
---------------------
-
-Each task carries its own fully-derived seed (the caller derives it
-from the experiment seed exactly as the serial code did), so a worker
-reconstructs the identical RNG streams no matter which process it runs
-in.  The only cross-session global is the debug-only ``dgram_id``
-counter, which no metric reads.  ``tests/test_parallel.py`` guards the
-contract: serial and parallel A/B days must produce identical metrics.
-
-Dispatch is chunked (``chunksize`` tasks per worker round-trip) to
-amortize pickling, and falls back to a plain in-process loop when
-``workers`` resolves to 1, when there is at most one task, or when the
-platform cannot ``fork`` (the pool relies on fork inheriting the
-parent's imports and dynamically-registered schemes cheaply; spawn
-would work for the built-in schemes but costs an interpreter boot per
-worker, so we keep the fallback simple and serial instead).
-
-Fleet tier
-----------
-
-The per-outcome path above returns one pickled ``SessionOutcome`` per
-session, which is exactly right for the small-N drivers (they need
-raw per-session lists) and exactly wrong at 10K users.  The fleet
-tier reduces *inside* the worker instead: :func:`execute_shard` runs
-a slice of tasks and folds every outcome into one
-:class:`~repro.metrics.sink.MetricSink`, so only a
-:class:`ShardResult` (sink + counters + failure tallies, O(buckets))
-crosses the process boundary.  :func:`run_fleet` shards a task
-*iterator* lazily and merges shard results as they complete; because
-sink merge is associative, commutative and exactly order-independent
-(fixed-point sums, pure bucket mapping), a sharded run's merged digest
-is **identical** to the serial run's, whatever the completion order.
-
-Shard supervision
------------------
-
-At ~90 minutes per 100K-user day, a single OOM-killed worker or hung
-shard must not void the run.  :func:`run_fleet` therefore *supervises*
-its shards instead of consuming a bare pool iterator: every shard
-attempt runs in its own forked process with a one-shot result pipe,
-the supervisor tracks in-flight deadlines (``shard_timeout_s``),
-detects worker death (pipe EOF without a result), validates returned
-:class:`ShardResult` payloads, and re-executes failed / timed-out /
-lost / corrupted shards with bounded retries and exponential backoff.
-A retry re-runs the shard **from its task list** -- never from a
-partial sink -- and every task carries its fully-derived seed, so a
-retried shard folds in bit-identically and cannot double-count.
-After ``max_retries`` failed attempts a shard is *quarantined*: its
-tasks are tallied as ``ShardAbandoned`` per scheme in the merged sink
-and counted in ``FleetResult.abandoned_shards`` / ``abandoned_tasks``
-instead of voiding the run.  ``KeyboardInterrupt`` terminates every
-in-flight worker (no orphaned children) and returns the
-partially-folded result with ``interrupted=True``.
+Determinism contract: each task carries its own fully-derived seed
+(the caller derives it from the experiment seed exactly as the serial
+code did), so a worker reconstructs the identical RNG streams no
+matter which process it runs in.  The only cross-session global is the
+debug-only ``dgram_id`` counter, which no metric reads.
 
 :class:`FaultPlan` is the worker-fault analog of the transport tier's
 ``ChaosSchedule``: a seeded, scripted plan that makes selected shards
@@ -84,6 +46,7 @@ against (``repro.experiments.fleetchaos``, ``make fleet-chaos``).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -94,7 +57,7 @@ from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 from repro.experiments.harness import (SCHEMES, PathSpec, SchemeConfig,
-                                       run_bulk_download, run_video_session)
+                                       run_video_session)
 from repro.metrics.qoe import SessionMetrics
 from repro.metrics.sink import MetricSink
 from repro.traces.radio_profiles import RadioType
@@ -110,7 +73,6 @@ __all__ = [
     "FaultInjected",
     "available_workers",
     "resolve_workers",
-    "effective_workers",
     "fan_out",
     "execute_session_task",
     "run_session_tasks",
@@ -137,24 +99,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return int(workers)
 
 
-def effective_workers(workers: Optional[int], n_tasks: int) -> int:
-    """Worker count :func:`fan_out` will *actually* use for a task list.
-
-    This is the single source of truth for the pool-vs-serial decision,
-    so callers that record worker counts (the perf benches) cannot
-    drift from the dispatch behavior.  An explicitly requested count is
-    honored even when ``os.cpu_count()`` is smaller -- workers are
-    processes, and an experiment fan-out on a small container may still
-    want real sharding -- but it is clamped to the task count, and the
-    serial fallback applies when the resolved count is 1, there is at
-    most one task, or the platform cannot fork.
-    """
-    n_workers = resolve_workers(workers)
-    if n_workers <= 1 or n_tasks <= 1 or not _fork_available():
-        return 1
-    return min(n_workers, n_tasks)
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -162,38 +106,79 @@ def _fork_available() -> bool:
         return False
 
 
-def _invoke(job: Tuple[Callable[..., Any], Dict[str, Any]]) -> Any:
-    fn, kwargs = job
-    return fn(**kwargs)
+#: Chunks :func:`fan_out` cuts per worker: ~4 dispatch rounds per
+#: worker balance fork/pickle overhead against tail latency from
+#: uneven session costs.
+_CHUNKS_PER_WORKER = 4
+
+
+class _Raised:
+    """A task exception carried back as a chunk payload."""
+
+    def __init__(self, exc: Exception) -> None:
+        self.exc = exc
+
+
+def _map_chunk(fn: Callable[..., Any], jobs: List[Dict[str, Any]]) -> Any:
+    """:func:`fan_out`'s chunk body: results in order, or the first
+    task exception (which the parent re-raises; a seeded task fails the
+    same way every time, so it is never retried)."""
+    results = []
+    for kwargs in jobs:
+        try:
+            results.append(fn(**kwargs))
+        except Exception as exc:  # noqa: BLE001 - re-raised in the parent
+            return _Raised(exc)
+    return results
 
 
 def fan_out(fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]],
-            workers: Optional[int] = None,
-            chunksize: Optional[int] = None) -> List[Any]:
+            workers: Optional[int] = None) -> List[Any]:
     """Run ``fn(**kwargs)`` for every dict, preserving submission order.
 
-    ``fn`` must be a module-level callable (pickled by reference) and
-    both its kwargs and return value must be picklable.  ``workers``
-    follows the repo-wide convention: ``None``/``0`` means
-    ``os.cpu_count()``, ``1`` forces the in-process serial path.
+    ``workers`` follows the repo-wide convention: ``None``/``0`` means
+    ``os.cpu_count()``, ``1`` runs in-process.  Forked workers inherit
+    ``fn`` and its kwargs; only return values cross back, so they must
+    be picklable.  A task that raises is re-raised here, like
+    ``pool.map``.  A chunk whose worker dies is retried; if its retries
+    run out, ``RuntimeError`` is raised instead of a partial list.
     """
+    return _ordered_map(fn, kwargs_list, workers)[0]
+
+
+def _ordered_map(fn: Callable[..., Any],
+                 kwargs_list: Sequence[Dict[str, Any]],
+                 workers: Optional[int]) -> Tuple[List[Any], int]:
+    """:func:`fan_out`, plus the peak worker count the run used."""
     jobs = list(kwargs_list)
-    n_workers = effective_workers(workers, len(jobs))
-    if n_workers <= 1:
-        return [fn(**kwargs) for kwargs in jobs]
-    if chunksize is None:
-        # ~4 dispatch rounds per worker balances pickling overhead
-        # against tail latency from uneven session costs.
-        chunksize = max(1, len(jobs) // (n_workers * 4))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=n_workers) as pool:
-        return pool.map(_invoke, [(fn, kwargs) for kwargs in jobs],
-                        chunksize=chunksize)
+    n_workers = resolve_workers(workers)
+    size = max(1, len(jobs) // (n_workers * _CHUNKS_PER_WORKER))
+    chunks = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+    results: Dict[int, List[Any]] = {}
+
+    def fold(chunk: _Chunk, payload: Any) -> Optional[str]:
+        if isinstance(payload, _Raised):
+            raise payload.exc
+        if not isinstance(payload, list) or len(payload) != len(chunk.items):
+            return f"expected {len(chunk.items)} results"
+        results[chunk.index] = payload
+        return None
+
+    run = _supervise(chunks, functools.partial(_map_chunk, fn), fold,
+                     n_workers)
+    if run.interrupted:
+        raise KeyboardInterrupt
+    if run.abandoned:
+        raise RuntimeError(
+            f"fan_out: {len(run.abandoned)} chunk(s) abandoned after "
+            f"{DEFAULT_MAX_RETRIES} retries (faults: {run.faults})")
+    return ([r for index in range(len(chunks)) for r in results[index]],
+            max(1, run.peak))
 
 
 @dataclass
 class SessionTask:
-    """Picklable spec for one independent simulated session.
+    """Picklable spec for one independent simulated video session.
 
     ``key`` is an opaque caller-side handle (e.g. ``(user, scheme)``)
     echoed back on the outcome so results can be re-grouped without
@@ -213,9 +198,6 @@ class SessionTask:
     primary_order: Optional[Sequence[RadioType]] = None
     kwargs: Dict[str, Any] = field(default_factory=dict)
     scheme_config: Optional[SchemeConfig] = None
-    #: "video" plays ``video``; "bulk" downloads ``total_bytes``
-    mode: str = "video"
-    total_bytes: int = 0
 
 
 @dataclass
@@ -229,38 +211,29 @@ class SessionOutcome:
     metrics: SessionMetrics
     reinjected_bytes: int = 0
     new_stream_bytes: int = 0
-    download_time_s: Optional[float] = None
 
 
 def execute_session_task(task: SessionTask) -> SessionOutcome:
     """Worker entry point: run one session, return plain data only."""
     if task.scheme_config is not None and task.scheme not in SCHEMES:
         SCHEMES[task.scheme] = task.scheme_config
-    if task.mode == "bulk":
-        result = run_bulk_download(task.scheme, task.paths, task.total_bytes,
-                                   timeout_s=task.timeout_s, seed=task.seed)
-    elif task.mode == "video":
-        result = run_video_session(
-            task.scheme, task.paths, video=task.video,
-            player_config=task.player_config, timeout_s=task.timeout_s,
-            seed=task.seed, primary_order=task.primary_order, **task.kwargs)
-    else:
-        raise ValueError(f"unknown session task mode {task.mode!r}")
+    result = run_video_session(
+        task.scheme, task.paths, video=task.video,
+        player_config=task.player_config, timeout_s=task.timeout_s,
+        seed=task.seed, primary_order=task.primary_order, **task.kwargs)
     return SessionOutcome(
         key=task.key, scheme=task.scheme, completed=result.completed,
         duration_s=result.duration_s, metrics=result.metrics,
         reinjected_bytes=result.reinjected_bytes,
-        new_stream_bytes=result.new_stream_bytes,
-        download_time_s=result.download_time_s)
+        new_stream_bytes=result.new_stream_bytes)
 
 
 def run_session_tasks(tasks: Sequence[SessionTask],
-                      workers: Optional[int] = None,
-                      chunksize: Optional[int] = None
+                      workers: Optional[int] = None
                       ) -> List[SessionOutcome]:
     """Execute tasks (parallel when ``workers`` allows), in task order."""
     return fan_out(execute_session_task, [{"task": t} for t in tasks],
-                   workers=workers, chunksize=chunksize)
+                   workers=workers)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +249,9 @@ DEFAULT_SHARD_SIZE = 64
 #: before it is quarantined into the abandoned tallies.
 DEFAULT_MAX_RETRIES = 2
 
-#: Base of the exponential retry backoff (pool mode only; the serial
-#: path re-runs immediately -- there is no crashed worker to cool off).
+#: Base of the exponential retry backoff between forked attempts (an
+#: in-process retry runs at once -- there is no crashed worker to cool
+#: off).
 DEFAULT_RETRY_BACKOFF_S = 0.25
 
 #: Failure kind recorded (per scheme, per task) in the merged sink when
@@ -379,7 +353,7 @@ class ShardResult:
     """What one worker returns for a whole slice of tasks.
 
     This -- not a list of per-session outcomes -- is the only thing
-    crossing the pool boundary in a fleet run; its size is
+    crossing the process boundary in a fleet run; its size is
     O(schemes x sketch buckets) regardless of how many sessions the
     shard executed.
     """
@@ -440,6 +414,7 @@ class FleetResult:
     tasks: int = 0
     shards: int = 0
     workers_requested: int = 1
+    #: most shard attempts in flight at once (1 for an in-process run)
     workers_effective: int = 1
     failures: Dict[str, int] = field(default_factory=dict)
     #: shard re-executions granted (one per retryable fault)
@@ -499,124 +474,75 @@ def _corrupt_shard_result(result: ShardResult) -> ShardResult:
                        failures=result.failures)
 
 
-def _shard_worker(conn, shard_index: int, tasks: List[SessionTask],
-                  attempt: int, fault_plan: Optional[FaultPlan]) -> None:
-    """Child-process entry: run one shard attempt, send one payload.
+@dataclass
+class _Chunk:
+    """One unit of supervised work across its attempts."""
 
-    The payload is either ``("ok", ShardResult)`` or
-    ``("error", exception type name, message)``.  A worker that dies
-    without sending (crash fault, OOM kill, segfault) is detected by
-    the parent as EOF on the pipe.
+    index: int
+    items: List[Any]
+    attempt: int = 0
+    #: monotonic-clock gate for the next launch (exponential backoff)
+    ready_at: float = 0.0
+
+
+@dataclass
+class _Run:
+    """What one :func:`_supervise` run observed besides its folds."""
+
+    #: chunk re-executions granted (one per retryable fault)
+    retries: int = 0
+    #: failed attempts, keyed by kind (``crash``/``timeout``/exception
+    #: type name/``corrupt``)
+    faults: Dict[str, int] = field(default_factory=dict)
+    #: item lists of the chunks that exhausted their retry budget
+    abandoned: List[List[Any]] = field(default_factory=list)
+    #: True when a KeyboardInterrupt cut the run short
+    interrupted: bool = False
+    #: most chunk attempts that were ever in flight at once
+    peak: int = 0
+
+
+def _attempt(body: Callable[[List[Any]], Any], chunk: _Chunk,
+             fault_plan: Optional[FaultPlan], forked: bool) -> Tuple:
+    """Run one chunk attempt: ``("ok", payload)`` or ``("error", kind)``.
+
+    An in-process attempt cannot die or be preempted without taking
+    the parent with it, so there an injected crash or hang is reported
+    under its own kind instead of acted out.
     """
-    payload: Tuple
+    kind = (fault_plan.fires(chunk.index, chunk.attempt)
+            if fault_plan is not None else None)
+    if kind == "raise":
+        raise FaultInjected(f"injected shard failure (shard {chunk.index}, "
+                            f"attempt {chunk.attempt})")
+    if kind in ("crash", "hang") and not forked:
+        return ("error", kind)
+    if kind == "crash":
+        os._exit(_FAULT_EXIT_CODE)
+    if kind == "hang":
+        time.sleep(fault_plan.hang_s)
+    payload = body(chunk.items)
+    if kind == "corrupt":
+        payload = _corrupt_shard_result(payload)
+    return ("ok", payload)
+
+
+def _worker(conn, body: Callable[[List[Any]], Any], chunk: _Chunk,
+            fault_plan: Optional[FaultPlan]) -> None:
+    """Child-process entry: run one chunk attempt, send one payload.
+
+    A worker that dies without sending (crash fault, OOM kill,
+    segfault) is detected by the parent as EOF on the pipe.
+    """
     try:
-        if fault_plan is not None:
-            kind = fault_plan.fires(shard_index, attempt)
-            if kind == "crash":
-                os._exit(_FAULT_EXIT_CODE)
-            elif kind == "hang":
-                time.sleep(fault_plan.hang_s)
-            elif kind == "raise":
-                raise FaultInjected(
-                    f"injected shard failure (shard {shard_index}, "
-                    f"attempt {attempt})")
-        shard_result = execute_shard(tasks)
-        if (fault_plan is not None
-                and fault_plan.fires(shard_index, attempt) == "corrupt"):
-            shard_result = _corrupt_shard_result(shard_result)
-        payload = ("ok", shard_result)
+        payload = _attempt(body, chunk, fault_plan, forked=True)
     except BaseException as exc:  # noqa: BLE001 - reported, not hidden
-        payload = ("error", type(exc).__name__, str(exc))
+        payload = ("error", type(exc).__name__)
     try:
         conn.send(payload)
         conn.close()
     except Exception:  # pragma: no cover - parent vanished
         os._exit(1)
-
-
-@dataclass
-class _ShardAttempt:
-    """Supervisor bookkeeping for one shard across its attempts."""
-
-    index: int
-    tasks: List[SessionTask]
-    attempt: int = 0
-    #: wall-clock gate for the next launch (exponential backoff)
-    ready_at: float = 0.0
-
-
-class _Supervisor:
-    """Shared retry/abandon state machine for both execution modes.
-
-    A shard attempt ends in one of three supervision states:
-
-    - **folded** -- the validated result merged into the sink;
-    - **retrying** -- a retryable fault (crash, timeout, raise,
-      corrupt) consumed one unit of the retry budget; the shard
-      re-enters the queue after exponential backoff, re-run from its
-      original task list so the fold stays bit-identical;
-    - **abandoned** -- the budget is exhausted; every task in the
-      shard is tallied as :data:`ABANDONED_KIND` under its scheme so
-      the loss is visible in the merged sink, the CLI and the report.
-    """
-
-    def __init__(self, merged: MetricSink, result: FleetResult,
-                 max_retries: int, retry_backoff_s: float) -> None:
-        self.merged = merged
-        self.result = result
-        self.max_retries = max_retries
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_queue: List[_ShardAttempt] = []
-
-    def fold(self, shard_result: ShardResult) -> None:
-        self.merged.merge(shard_result.sink)
-        self.result.tasks += shard_result.tasks
-        self.result.shards += 1
-        for kind, n in shard_result.failures.items():
-            self.result.failures[kind] = \
-                self.result.failures.get(kind, 0) + n
-
-    def complete(self, spec: _ShardAttempt, payload: Any) -> None:
-        """Handle an attempt's validated outcome or failure kind."""
-        error = validate_shard_result(payload, len(spec.tasks))
-        if error is None:
-            self.fold(payload)
-        else:
-            self.fail(spec, "corrupt")
-
-    def fail(self, spec: _ShardAttempt, kind: str) -> None:
-        self.result.shard_faults[kind] = \
-            self.result.shard_faults.get(kind, 0) + 1
-        if spec.attempt >= self.max_retries:
-            self.abandon(spec)
-            return
-        self.result.retries += 1
-        spec.attempt += 1
-        spec.ready_at = time.monotonic() + \
-            self.retry_backoff_s * (2 ** (spec.attempt - 1))
-        self.retry_queue.append(spec)
-
-    def abandon(self, spec: _ShardAttempt) -> None:
-        self.result.abandoned_shards += 1
-        self.result.abandoned_tasks += len(spec.tasks)
-        for task in spec.tasks:
-            self.merged.observe_failure(task.scheme, ABANDONED_KIND)
-
-    def pop_ready(self, now: float) -> Optional[_ShardAttempt]:
-        """The most-cooled retry whose backoff has elapsed, if any."""
-        best = None
-        for spec in self.retry_queue:
-            if spec.ready_at <= now and (best is None
-                                         or spec.ready_at < best.ready_at):
-                best = spec
-        if best is not None:
-            self.retry_queue.remove(best)
-        return best
-
-    def next_ready_at(self) -> Optional[float]:
-        if not self.retry_queue:
-            return None
-        return min(spec.ready_at for spec in self.retry_queue)
 
 
 def _kill_process(proc) -> None:
@@ -631,82 +557,96 @@ def _kill_process(proc) -> None:
         pass
 
 
-def _run_fleet_serial(shard_iter: Iterator[List[SessionTask]],
-                      sup: _Supervisor, result: FleetResult,
-                      fault_plan: Optional[FaultPlan]) -> FleetResult:
-    """In-process supervised execution (``workers=1`` / no fork).
+def _supervise(chunks: Iterable[List[Any]],
+               body: Callable[[List[Any]], Any],
+               fold: Callable[[_Chunk, Any], Optional[str]],
+               workers: int,
+               max_retries: int = DEFAULT_MAX_RETRIES,
+               retry_backoff_s: float = DEFAULT_RETRY_BACKOFF_S,
+               timeout_s: Optional[float] = None,
+               fault_plan: Optional[FaultPlan] = None) -> _Run:
+    """The executor: run every chunk through ``body``, ``fold`` results.
 
-    The serial tier cannot kill or preempt its own process, so
-    'crash' and 'hang' faults surface as injected raises (tallied
-    under their own kind for honest reporting) and ``shard_timeout_s``
-    is not enforced -- deadline supervision needs the pool tier.
-    Retries skip the backoff sleep: there is no crashed worker or
-    poisoned host to cool off in-process.
+    ``chunks`` is consumed lazily, so the parent holds only in-flight
+    and awaiting-retry chunks.  Each attempt ends in one of three
+    states:
+
+    - **folded** -- ``fold`` accepted the payload (returned ``None``);
+    - **retrying** -- the worker died, overran ``timeout_s``, the body
+      raised, or ``fold`` rejected the payload (``corrupt``); the chunk
+      re-enters the queue after ``retry_backoff_s * 2**attempt`` and is
+      re-run from its item list;
+    - **abandoned** -- ``max_retries`` retries are spent; the chunk's
+      items are listed in :attr:`_Run.abandoned` for the caller.
+
+    An exception raised by ``fold`` aborts the run; like an interrupt,
+    it terminates every in-flight worker first.
     """
+    forked = workers > 1 and _fork_available()
+    ctx = multiprocessing.get_context("fork") if forked else None
+    backoff_s = retry_backoff_s if forked else 0.0
+    run = _Run()
+    chunk_iter = iter(chunks)
+    retry_queue: List[_Chunk] = []
+    inflight: Dict[Any, Tuple[_Chunk, Any, Optional[float]]] = {}
     next_index = 0
-    try:
-        for shard in shard_iter:
-            spec = _ShardAttempt(index=next_index, tasks=shard)
-            next_index += 1
-            while True:
-                kind = (fault_plan.fires(spec.index, spec.attempt)
-                        if fault_plan is not None else None)
-                if kind in ("crash", "hang", "raise"):
-                    sup.fail(spec, kind if kind != "raise"
-                             else FaultInjected.__name__)
-                elif kind == "corrupt":
-                    sup.complete(spec, _corrupt_shard_result(
-                        execute_shard(spec.tasks)))
-                else:
-                    try:
-                        shard_result = execute_shard(spec.tasks)
-                    except Exception as exc:  # noqa: BLE001
-                        sup.fail(spec, type(exc).__name__)
-                    else:
-                        sup.complete(spec, shard_result)
-                if spec not in sup.retry_queue:
-                    break
-                sup.retry_queue.remove(spec)
-    except KeyboardInterrupt:
-        result.interrupted = True
-    result.workers_effective = 1
-    return result
 
+    def settle(chunk: _Chunk, payload: Optional[Tuple]) -> None:
+        if payload is None:
+            # Pipe EOF without a payload: the worker died (OOM kill,
+            # os._exit, segfault) before reporting.
+            kind = "crash"
+        elif payload[0] == "ok":
+            if fold(chunk, payload[1]) is None:
+                return
+            kind = "corrupt"
+        else:
+            kind = payload[1]
+        run.faults[kind] = run.faults.get(kind, 0) + 1
+        if chunk.attempt >= max_retries:
+            run.abandoned.append(chunk.items)
+            return
+        run.retries += 1
+        chunk.attempt += 1
+        chunk.ready_at = (time.monotonic()
+                          + backoff_s * (2 ** (chunk.attempt - 1)))
+        retry_queue.append(chunk)
 
-def _run_fleet_supervised(shard_iter: Iterator[List[SessionTask]],
-                          sup: _Supervisor, result: FleetResult,
-                          n_workers: int, shard_timeout_s: Optional[float],
-                          fault_plan: Optional[FaultPlan]) -> FleetResult:
-    """Pool-mode supervision: forked shard workers, deadlines, retries.
+    def next_chunk(now: float) -> Optional[_Chunk]:
+        """The most-cooled ready retry, else the next fresh chunk."""
+        nonlocal next_index
+        ready = [c for c in retry_queue if c.ready_at <= now]
+        if ready:
+            chunk = min(ready, key=lambda c: c.ready_at)
+            retry_queue.remove(chunk)
+            return chunk
+        items = next(chunk_iter, None)
+        if items is None:
+            return None
+        next_index += 1
+        return _Chunk(index=next_index - 1, items=items)
 
-    Each shard attempt is its own forked process with a one-shot
-    result pipe; ``multiprocessing.connection.wait`` multiplexes the
-    in-flight pipes, so worker death (EOF without a payload), results,
-    and deadline expiry are all observed from one loop.  Fork cost is
-    amortized by shard size (~ms against seconds of DES work per
-    shard), and buys crash isolation the shared-pool design cannot
-    offer: a dying worker takes exactly one shard attempt with it.
-    """
-    ctx = multiprocessing.get_context("fork")
-    inflight: Dict[Any, Tuple[_ShardAttempt, Any, Optional[float]]] = {}
-    next_index = 0
-    exhausted = False
-
-    def launch(spec: _ShardAttempt) -> None:
+    def launch(chunk: _Chunk) -> None:
+        run.peak = max(run.peak, len(inflight) + 1)
+        if not forked:
+            try:
+                payload = _attempt(body, chunk, fault_plan, forked=False)
+            except Exception as exc:  # noqa: BLE001 - a retryable fault
+                payload = ("error", type(exc).__name__)
+            settle(chunk, payload)
+            return
         recv_conn, send_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_shard_worker,
-            args=(send_conn, spec.index, spec.tasks, spec.attempt,
-                  fault_plan),
-            daemon=True)
+        proc = ctx.Process(target=_worker,
+                           args=(send_conn, body, chunk, fault_plan),
+                           daemon=True)
         proc.start()
         send_conn.close()
-        deadline = (time.monotonic() + shard_timeout_s
-                    if shard_timeout_s is not None else None)
-        inflight[recv_conn] = (spec, proc, deadline)
+        deadline = (time.monotonic() + timeout_s
+                    if timeout_s is not None else None)
+        inflight[recv_conn] = (chunk, proc, deadline)
 
     def reap(conn) -> None:
-        spec, proc, _deadline = inflight.pop(conn)
+        chunk, proc, _deadline = inflight.pop(conn)
         try:
             payload = conn.recv()
         except (EOFError, OSError):
@@ -714,66 +654,47 @@ def _run_fleet_supervised(shard_iter: Iterator[List[SessionTask]],
         finally:
             conn.close()
         proc.join()
-        if payload is None:
-            # Pipe EOF without a payload: the worker died (OOM kill,
-            # os._exit, segfault) before reporting.
-            sup.fail(spec, "crash")
-        elif payload[0] == "ok":
-            sup.complete(spec, payload[1])
-        else:
-            sup.fail(spec, payload[1])
+        settle(chunk, payload)
 
     try:
         while True:
-            now = time.monotonic()
-            while len(inflight) < n_workers:
-                spec = sup.pop_ready(now)
-                if spec is None and not exhausted:
-                    shard = next(shard_iter, None)
-                    if shard is None:
-                        exhausted = True
-                        continue
-                    spec = _ShardAttempt(index=next_index, tasks=shard)
-                    next_index += 1
-                if spec is None:
+            while len(inflight) < workers:
+                chunk = next_chunk(time.monotonic())
+                if chunk is None:
                     break
-                launch(spec)
+                launch(chunk)
             if not inflight:
-                if exhausted and not sup.retry_queue:
+                if not retry_queue:
                     break
                 # Only backoff-gated retries remain: sleep them ready.
-                ready_at = sup.next_ready_at()
-                if ready_at is not None:
-                    time.sleep(max(0.0, ready_at - time.monotonic()))
+                ready_at = min(c.ready_at for c in retry_queue)
+                time.sleep(max(0.0, ready_at - time.monotonic()))
                 continue
-            timeouts = [deadline for (_s, _p, deadline) in inflight.values()
-                        if deadline is not None]
-            ready_at = sup.next_ready_at()
-            if ready_at is not None:
-                timeouts.append(ready_at)
-            wait_s = (max(0.0, min(timeouts) - now) if timeouts else None)
-            for conn in multiprocessing.connection.wait(
-                    list(inflight), timeout=wait_s):
+            now = time.monotonic()
+            wakeups = [deadline for (_c, _p, deadline) in inflight.values()
+                       if deadline is not None]
+            wakeups += [c.ready_at for c in retry_queue]
+            wait_s = max(0.0, min(wakeups) - now) if wakeups else None
+            for conn in multiprocessing.connection.wait(list(inflight),
+                                                        timeout=wait_s):
                 reap(conn)
             now = time.monotonic()
-            for conn, (spec, proc, deadline) in list(inflight.items()):
+            for conn, (chunk, proc, deadline) in list(inflight.items()):
                 if deadline is not None and now >= deadline:
                     del inflight[conn]
                     _kill_process(proc)
                     conn.close()
-                    sup.fail(spec, "timeout")
+                    settle(chunk, ("error", "timeout"))
     except KeyboardInterrupt:
-        result.interrupted = True
+        run.interrupted = True
     finally:
-        # Leave no forked child behind -- on clean exit this is a
-        # no-op; on interrupt it terminates every in-flight worker.
-        for conn, (_spec, proc, _deadline) in list(inflight.items()):
+        # Leave no forked child behind -- on a clean exit this is a
+        # no-op; on an interrupt or abort it terminates every worker.
+        for conn, (_chunk, proc, _deadline) in inflight.items():
             _kill_process(proc)
             conn.close()
         inflight.clear()
-    result.workers_effective = min(n_workers, result.shards) \
-        if result.shards else 1
-    return result
+    return run
 
 
 def run_fleet(tasks: Iterable[SessionTask],
@@ -792,16 +713,16 @@ def run_fleet(tasks: Iterable[SessionTask],
     outcomes, so memory stays bounded by ``workers * shard_size``
     tasks plus the O(buckets) sinks.  ``workers`` follows the
     repo-wide convention (``None``/``0`` = ``os.cpu_count()``, ``1`` =
-    in-process serial).
+    in-process).
 
     Supervision: each shard gets ``max_retries`` re-executions (with
-    ``retry_backoff_s``-based exponential backoff in pool mode) after
-    a worker crash, a ``shard_timeout_s`` deadline kill, a shard-body
-    exception, or a corrupted result; a shard that exhausts the budget
-    is quarantined into the abandoned tallies.  ``fault_plan`` injects
-    exactly those fault classes for testing.  ``KeyboardInterrupt``
-    terminates all workers and returns the partial fold with
-    ``interrupted=True``.
+    ``retry_backoff_s``-based exponential backoff between forked
+    attempts) after a worker crash, a ``shard_timeout_s`` deadline
+    kill, a shard-body exception, or a corrupted result; a shard that
+    exhausts the budget is quarantined into the abandoned tallies.
+    ``fault_plan`` injects exactly those fault classes for testing.
+    ``KeyboardInterrupt`` terminates all workers and returns the
+    partial fold with ``interrupted=True``.
 
     Determinism: every task carries its fully-derived seed, retries
     re-run from the original task list (never from a partial sink),
@@ -810,13 +731,34 @@ def run_fleet(tasks: Iterable[SessionTask],
     for the same task stream whenever every fault was retryable.
     """
     merged = sink if sink is not None else MetricSink()
-    result = FleetResult(sink=merged)
     n_workers = resolve_workers(workers)
-    result.workers_requested = n_workers
-    shard_iter = iter_shards(tasks, shard_size)
-    sup = _Supervisor(merged, result, max_retries=max_retries,
-                      retry_backoff_s=retry_backoff_s)
-    if n_workers <= 1 or not _fork_available():
-        return _run_fleet_serial(shard_iter, sup, result, fault_plan)
-    return _run_fleet_supervised(shard_iter, sup, result, n_workers,
-                                 shard_timeout_s, fault_plan)
+    result = FleetResult(sink=merged, workers_requested=n_workers)
+
+    def fold(chunk: _Chunk, shard_result: Any) -> Optional[str]:
+        defect = validate_shard_result(shard_result, len(chunk.items))
+        if defect is None:
+            merged.merge(shard_result.sink)
+            result.tasks += shard_result.tasks
+            result.shards += 1
+            for kind, n in shard_result.failures.items():
+                result.failures[kind] = result.failures.get(kind, 0) + n
+        return defect
+
+    # execute_shard is looked up when the worker runs, so a wrapper
+    # installed on the module global (e2ebench's recorder) sees every
+    # shard.
+    run = _supervise(iter_shards(tasks, shard_size),
+                     lambda shard: execute_shard(shard), fold, n_workers,
+                     max_retries=max_retries,
+                     retry_backoff_s=retry_backoff_s,
+                     timeout_s=shard_timeout_s, fault_plan=fault_plan)
+    for shard in run.abandoned:
+        result.abandoned_tasks += len(shard)
+        for task in shard:
+            merged.observe_failure(task.scheme, ABANDONED_KIND)
+    result.abandoned_shards = len(run.abandoned)
+    result.retries = run.retries
+    result.shard_faults = run.faults
+    result.interrupted = run.interrupted
+    result.workers_effective = max(1, run.peak)
+    return result

@@ -74,7 +74,8 @@ def run_fig7(frame_sizes: Sequence[int] = FIG7_FRAME_SIZES,
              ) -> Dict[str, List[Tuple[int, float]]]:
     """Full Fig. 7 sweep: {primary: [(frame_size, latency_s), ...]}.
 
-    The (primary, size) grid fans out over ``workers`` processes.
+    The (primary, size) grid runs through :func:`fan_out` on
+    ``workers`` forked workers, in grid order.
     """
     out: Dict[str, List[Tuple[int, float]]] = {"wifi": [], "5g": []}
     grid = [(primary, size) for primary in out for size in frame_sizes]
@@ -130,7 +131,8 @@ def run_fig8(ratios: Sequence[float] = FIG8_RTT_RATIOS,
              ) -> Dict[str, List[Tuple[float, float]]]:
     """Full Fig. 8 sweep: {policy: [(ratio, completion_s), ...]}.
 
-    The (policy, ratio) grid fans out over ``workers`` processes.
+    The (policy, ratio) grid runs through :func:`fan_out` on
+    ``workers`` forked workers, in grid order.
     """
     out: Dict[str, List[Tuple[float, float]]] = {"fastest": [],
                                                  "original": []}

@@ -1,6 +1,6 @@
 """Streaming per-scheme QoE accumulation for fleet runs.
 
-A :class:`MetricSink` is what crosses the process-pool boundary in a
+A :class:`MetricSink` is what crosses the process boundary in a
 sharded fleet run: each worker folds its slice of session outcomes
 into one sink and ships only the sink back, so memory on both sides
 is O(schemes x buckets) regardless of population size.

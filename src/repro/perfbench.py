@@ -13,7 +13,7 @@ Four measurements track the simulator's hot paths across PRs:
   N=16 concurrent sessions on a shared cell (the host-runtime demux
   and shared-link machinery under load);
 - ``ab_day_parallel``: wall-clock of one A/B day serial vs fanned out
-  over the process pool, plus the speedup ratio and a checksum-style
+  over forked workers, plus the speedup ratio and a checksum-style
   equality flag for the determinism contract (and the same day again
   through the shard-reduced fleet tier, with its own speedup/digest);
 - ``fleet_10k``: users/sec of a sharded 10K-user fleet day reduced
@@ -40,7 +40,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.abtest import ABTestConfig, run_ab_day
+from repro.experiments.abtest import ABTestConfig
 from repro.experiments.harness import PathSpec, run_video_session
 from repro.netem.link import TraceDrivenLink
 from repro.netem.packet import Datagram
@@ -162,60 +162,62 @@ def bench_chaos_soak(scenarios: int = 6, seed: int = 7) -> Dict[str, Any]:
 def bench_parallel_ab_day(users_per_day: int = 10,
                           workers: Optional[int] = None,
                           seed: int = 3) -> Dict[str, Any]:
-    """One A/B day serial vs parallel: wall-clock, speedup, identity.
+    """One A/B day's sessions serial vs parallel: wall-clock, speedup,
+    identity.
 
     ``workers=None`` requests ``max(2, cpu_count)`` rather than the
-    plain ``cpu_count`` default: on a 1-CPU container the old default
-    resolved to 1 and the "parallel" leg silently ran the serial
-    fallback, so the bench measured nothing and recorded
-    ``workers_effective: 1``.  Requesting 2 keeps the pool (and the
-    serial-vs-parallel identity check) exercised everywhere; the
-    speedup column is then honestly ~1.0 on a single core instead of
-    vacuously 1.0.
+    plain ``cpu_count`` default: on a 1-CPU container the plain default
+    resolves to 1 and the "parallel" leg would run in-process, so the
+    bench would measure nothing.  Requesting 2 keeps forked workers
+    (and the serial-vs-parallel identity check) exercised everywhere;
+    the speedup column is then honestly ~1.0 on a single core instead
+    of vacuously 1.0.  ``workers_effective`` is the peak worker count
+    the executor reported for the parallel leg, not a prediction.
     """
-    from repro.experiments.parallel import available_workers, effective_workers
+    from repro.experiments import parallel as executor
+    from repro.experiments.abtest import build_ab_day_tasks
     cfg = ABTestConfig(users_per_day=users_per_day, seed=seed,
                        video_duration_s=6.0)
     schemes = ["sp", "xlink"]
-    requested = workers if workers else max(2, available_workers())
-    n_tasks = users_per_day * len(schemes)
+    requested = workers if workers else max(2, executor.available_workers())
+    tasks = build_ab_day_tasks(cfg, 1, schemes)
+    n_tasks = len(tasks)
+    jobs = [{"task": task} for task in tasks]
 
+    # The run_session_tasks path (what run_ab_day fans out), through the
+    # helper that also reports how many workers the executor used.
     t0 = time.perf_counter()
-    serial = run_ab_day(cfg, 1, schemes, workers=1)
+    serial, _ = executor._ordered_map(executor.execute_session_task, jobs, 1)
     serial_s = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    parallel = run_ab_day(cfg, 1, schemes, workers=requested)
+    parallel, effective = executor._ordered_map(
+        executor.execute_session_task, jobs, requested)
     parallel_s = time.perf_counter() - t0
 
-    identical = all(serial[s].sessions == parallel[s].sessions
-                    for s in schemes)
-    effective = effective_workers(requested, n_tasks)
+    identical = serial == parallel
 
     # Shard-reduced legs: the same day through the fleet tier, where
     # workers ship one merged MetricSink per shard instead of N pickled
     # SessionOutcomes.  fleet_speedup isolates what the reduced pickle
     # volume buys over the outcome path's parallel leg.
-    from repro.experiments.abtest import build_ab_day_tasks
-    from repro.experiments.parallel import run_fleet
-    tasks = build_ab_day_tasks(cfg, 1, schemes)
-    # two shards per worker, so the pool engages at any bench scale
+    # two shards per worker, so forked workers engage at any bench scale
     shard_size = max(1, n_tasks // (2 * requested))
     t0 = time.perf_counter()
-    fleet_serial = run_fleet(iter(tasks), workers=1,
-                             shard_size=shard_size)
+    fleet_serial = executor.run_fleet(iter(tasks), workers=1,
+                                      shard_size=shard_size)
     fleet_serial_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    fleet_sharded = run_fleet(iter(tasks), workers=requested,
-                              shard_size=shard_size)
+    fleet_sharded = executor.run_fleet(iter(tasks), workers=requested,
+                                       shard_size=shard_size)
     fleet_sharded_s = time.perf_counter() - t0
 
     return {
         "users_per_day": users_per_day,
         "sessions": n_tasks,
         # "workers" kept for report-format compatibility; requested is
-        # what the parallel leg asked the pool for, effective is what
-        # fan_out's dispatch decision actually used.
+        # what the parallel leg asked for, effective is the peak worker
+        # count the executor ran it with.
         "workers": effective,
         "workers_requested": requested,
         "workers_effective": effective,
@@ -240,7 +242,7 @@ def bench_fleet(users: int = 10_000, workers: int = 2,
     The 10K-user acceptance run of the fleet tier: one A/B day at
     population scale, reduced shard-by-shard into streaming sketches.
     ``sink_buckets`` is the peak-RSS proxy -- the number of occupied
-    sketch slots crossing the pool boundary, which stays O(hundreds)
+    sketch slots crossing the process boundary, which stays O(hundreds)
     no matter how many users run.
     """
     from repro.experiments.fleet import (ABPopulationDriver, FleetConfig,

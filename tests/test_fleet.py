@@ -68,21 +68,21 @@ class TestShardExecution:
     def test_failures_tallied_not_raised(self):
         good = next(iter(ABPopulationDriver(_small_cfg(users=1))
                          .task_iter()))
-        bad = SessionTask(key=(99, "sp"), scheme="sp", paths=good.paths,
-                          mode="nope")
+        # an unregistered scheme fails the task at lookup
+        bad = SessionTask(key=(99, "nope"), scheme="nope", paths=good.paths)
         result = execute_shard([good, bad])
         assert result.tasks == 2
-        assert result.failures == {"ValueError": 1}
-        assert result.sink.scheme("sp").failures == {"ValueError": 1}
+        assert result.failures == {"KeyError": 1}
+        assert result.sink.scheme("nope").failures == {"KeyError": 1}
         assert result.sink.sessions == 1  # the good task still counted
 
     def test_run_fleet_aggregates_failures(self):
         tasks = list(ABPopulationDriver(_small_cfg(users=2)).task_iter())
-        tasks.append(SessionTask(key=(99, "sp"), scheme="sp",
-                                 paths=tasks[0].paths, mode="nope"))
+        tasks.append(SessionTask(key=(99, "nope"), scheme="nope",
+                                 paths=tasks[0].paths))
         result = run_fleet(iter(tasks), workers=1, shard_size=2)
         assert result.failed == 1
-        assert result.failures == {"ValueError": 1}
+        assert result.failures == {"KeyError": 1}
         assert result.tasks == 3
 
     def test_iter_shards_lazy_and_validated(self):

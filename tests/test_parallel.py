@@ -1,12 +1,19 @@
 """Tests for the parallel experiment runner.
 
 The load-bearing guarantee is the determinism contract: fanning
-sessions out over a process pool must produce *bit-identical* results
+sessions out over forked workers must produce *bit-identical* results
 to the serial loop, because every task carries a fully-derived seed and
-outcomes are reassembled in submission order.
+outcomes are reassembled in submission order.  The robustness
+guarantee is that a lost worker never wedges the map: its chunk is
+retried, or the map raises.
 """
 
 from __future__ import annotations
+
+import contextlib
+import multiprocessing
+import os
+import signal
 
 import pytest
 
@@ -16,6 +23,7 @@ from repro.experiments.parallel import (SessionTask, available_workers,
                                         fan_out, resolve_workers,
                                         run_session_tasks)
 from repro.experiments.harness import PathSpec
+from repro.experiments.pathexp import run_fig7
 from repro.traces.radio_profiles import RadioType
 
 
@@ -30,6 +38,43 @@ def _square(x):
     return x * x
 
 
+def _fail_on_three(x):
+    if x == 3:
+        raise ValueError(f"bad job {x}")
+    return x
+
+
+def _exit_in_worker(x, parent_pid, marker):
+    """Square ``x``, but job 3 kills its worker process: every time, or
+    only the first time when ``marker`` names a not-yet-created file."""
+    if x == 3 and os.getpid() != parent_pid:
+        if marker is None:
+            os._exit(1)
+        with contextlib.suppress(FileExistsError):
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+            os._exit(1)
+    return x * x
+
+
+class _Wedged(Exception):
+    pass
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail a wedged call by SIGALRM instead of hanging the suite."""
+    def wedged(_signum, _frame):
+        raise _Wedged(f"no return within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, wedged)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestFanOut:
     def test_preserves_order_serial(self):
         jobs = [{"x": i} for i in range(10)]
@@ -41,6 +86,29 @@ class TestFanOut:
 
     def test_empty_job_list(self):
         assert fan_out(_square, [], workers=4) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_exception_reraised(self, workers):
+        jobs = [{"x": i} for i in range(8)]
+        with pytest.raises(ValueError, match="bad job 3"):
+            fan_out(_fail_on_three, jobs, workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_retried_to_full_result(self, tmp_path):
+        jobs = [{"x": i, "parent_pid": os.getpid(),
+                 "marker": str(tmp_path / "crashed")} for i in range(8)]
+        with _deadline(20):
+            results = fan_out(_exit_in_worker, jobs, workers=2)
+        assert results == [i * i for i in range(8)]
+        assert (tmp_path / "crashed").exists()  # the crash did happen
+        assert multiprocessing.active_children() == []
+
+    def test_worker_lost_on_every_retry_raises(self):
+        jobs = [{"x": i, "parent_pid": os.getpid(), "marker": None}
+                for i in range(8)]
+        with _deadline(20), pytest.raises(RuntimeError, match="abandoned"):
+            fan_out(_exit_in_worker, jobs, workers=2)
+        assert multiprocessing.active_children() == []
 
     def test_resolve_workers(self):
         assert resolve_workers(1) == 1
@@ -70,6 +138,11 @@ class TestSeedStability:
         b = run_ab_day(cfg, 1, ["sp"], workers=1)
         assert a["sp"].sessions == b["sp"].sessions
 
+    def test_fig7_serial_vs_parallel_identical(self):
+        sizes = (128 * 1024, 256 * 1024)
+        assert (run_fig7(sizes, seed=3, workers=1)
+                == run_fig7(sizes, seed=3, workers=2))
+
     def test_task_seeds_do_not_depend_on_scheme_order(self):
         cfg = _small_cfg()
         ab = build_ab_day_tasks(cfg, 1, ["sp", "xlink"])
@@ -93,19 +166,6 @@ class TestSessionTasks:
         assert serial.completed
         assert parallel[0].metrics == serial.metrics
         assert parallel[0].key == 0 and parallel[1].key == 1
-
-    def test_bulk_mode(self):
-        task = self._task()
-        task.mode = "bulk"
-        task.total_bytes = 200_000
-        outcome = run_session_tasks([task], workers=1)[0]
-        assert outcome.download_time_s is not None
-
-    def test_unknown_mode_rejected(self):
-        task = self._task()
-        task.mode = "nope"
-        with pytest.raises(ValueError):
-            run_session_tasks([task], workers=1)
 
     def test_outcomes_are_plain_data(self):
         import pickle

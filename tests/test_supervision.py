@@ -167,6 +167,15 @@ class TestPoolSupervision:
         assert result.tasks == 4
         assert not result.interrupted
 
+    def test_workers_effective_counts_attempts_not_folds(self):
+        # Every shard is abandoned, so none folds, yet two workers ran.
+        plan = FaultPlan(crash_shards=(0, 1), sticky=True)
+        result = run_fleet(_tasks(users=4), workers=2, shard_size=2,
+                           max_retries=0, fault_plan=plan)
+        assert result.shards == 0
+        assert result.abandoned_shards == 2
+        assert result.workers_effective == 2
+
     def test_keyboard_interrupt_reaps_workers_and_returns_partial(self):
         # A hung shard (no deadline) pins the supervisor in wait();
         # SIGALRM delivers the KeyboardInterrupt a real Ctrl-C would.
@@ -202,12 +211,13 @@ class TestEdgeCases:
 
     def test_all_failing_shard_still_folds(self):
         paths = next(iter(_tasks(users=1))).paths
-        tasks = [SessionTask(key=(i, "sp"), scheme="sp", paths=paths,
-                             mode="nope") for i in range(4)]
+        # an unregistered scheme fails every task at lookup
+        tasks = [SessionTask(key=(i, "nope"), scheme="nope", paths=paths)
+                 for i in range(4)]
         result = run_fleet(iter(tasks), workers=1, shard_size=2)
         assert result.tasks == 4
         assert result.failed == 4
-        assert result.failures == {"ValueError": 4}
+        assert result.failures == {"KeyError": 4}
         assert result.abandoned_shards == 0  # task fails are not faults
 
     def test_supervision_kwargs_pass_through_driver(self):
